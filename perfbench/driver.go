@@ -12,12 +12,6 @@ import (
 	"bqs"
 )
 
-// sample is one completed operation of a timed window: when it ended,
-// relative to the window's base, and how long it took.
-type sample struct {
-	end, dur time.Duration
-}
-
 // slot is one operation in flight. A blocking client is one slot; a
 // Session client keeps window slots, each issuing its next operation only
 // after the previous one returns. A slot owns a disjoint share of the key
@@ -32,8 +26,6 @@ type slot struct {
 	prefix []byte // value prefix derived from the seed and the slot
 	seq    int64
 	buf    []byte
-
-	samples []sample
 
 	attempted, failed int64
 	mismatches        int64
@@ -82,6 +74,7 @@ type driver struct {
 	sessions []*bqs.Session
 	stop     atomic.Bool
 	base     time.Time
+	lat      *latLog // where a timed window records its operations, when record is set
 	record   bool
 }
 
@@ -254,16 +247,7 @@ func (d *driver) step(s *slot) {
 	}
 	s.observe(k, read, val, got, err)
 	if d.record && err == nil {
-		s.samples = append(s.samples, sample{end: t1.Sub(d.base), dur: t1.Sub(t0)})
-	}
-}
-
-// reserve sizes every slot's sample buffer for a window of dur at the
-// given per-slot rate, so the timed window does not pay for growing them.
-func (d *driver) reserve(perSlotRate float64, dur time.Duration) {
-	n := int(perSlotRate*dur.Seconds()*2) + 1024
-	for _, s := range d.slots {
-		s.samples = make([]sample, 0, n)
+		d.lat.add(t1.Sub(d.base), t1.Sub(t0))
 	}
 }
 

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -19,10 +20,13 @@ import (
 	"time"
 )
 
-// Run shape. Set-up is repeated and its median reported, so that one slow
-// set-up (a cold page cache, a neighbour's burst) does not move setup_s.
+// Run shape. Set-up is repeated and the median over its less-stolen half
+// reported (see setupStats.quiet), so that one slow set-up (a cold page
+// cache, a neighbour's burst) does not move setup_s.
 const (
-	setups         = 5
+	setups         = 15
+	sliceLen       = 250 * time.Millisecond
+	quietShare     = 1.0 / 3 // share of the slices the end-to-end figures come from, see quietest
 	traceSpanLimit = 1 << 20 // about 32 MiB of spans
 )
 
@@ -130,9 +134,27 @@ func (b *bench) check(name string, err error) {
 	fmt.Fprintf(b.log, "check %s: ok\n", name)
 }
 
-// setupStats holds the per-set-up timings, in seconds.
+// setupStats holds the per-set-up timings, in seconds, and the clock
+// ticks the hypervisor stole during each set-up.
 type setupStats struct {
 	total, clusterStart, storeOpen []float64
+	steal                          []int64
+}
+
+// quiet returns the median of one per-set-up timing over the half of the
+// set-ups (rounded up) in which the hypervisor stole the least CPU time,
+// earlier set-ups first among equals, as quietest does for slices.
+func (st setupStats) quiet(xs []float64) float64 {
+	idx := make([]int, len(xs))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(st.steal[a], st.steal[b]) })
+	q := make([]float64, (len(idx)+1)/2)
+	for i := range q {
+		q[i] = xs[idx[i]]
+	}
+	return median(q)
 }
 
 // setUp builds the workload's system n times over, each time from
@@ -149,6 +171,7 @@ func (b *bench) setUp(d *driver, tr *tracer, n int) (*rig, setupStats, error) {
 				return nil, st, err
 			}
 		}
+		steal0, _ := cpuTicks()
 		start := time.Now()
 		b.rigs++
 		var err error
@@ -169,10 +192,12 @@ func (b *bench) setUp(d *driver, tr *tracer, n int) (*rig, setupStats, error) {
 			return nil, st, errors.Join(fmt.Errorf("set-up: %w", err), r.close())
 		}
 		st.total = append(st.total, time.Since(start).Seconds())
+		steal1, _ := cpuTicks()
+		st.steal = append(st.steal, steal1-steal0)
 		st.clusterStart = append(st.clusterStart, r.clusterStart.Seconds())
 		st.storeOpen = append(st.storeOpen, r.storeOpen.Seconds())
 	}
-	fmt.Fprintf(b.log, "setup x%d: %v s\n", n, roundAll(st.total))
+	fmt.Fprintf(b.log, "setup x%d: %v s, steal %v ticks\n", n, roundAll(st.total), st.steal)
 	return r, st, nil
 }
 
@@ -213,36 +238,38 @@ func warmUpFor(dur time.Duration) time.Duration {
 }
 
 // warmUp runs the closed loop untimed, so caches fill and lazy set-up
-// finishes before timing, and returns the operations per second and slot
-// it reached.
-func warmUp(d *driver, dur time.Duration) float64 {
-	before, _ := d.totals()
-	el := d.run(dur, 1, nil)
-	after, _ := d.totals()
-	return float64(after-before) / float64(len(d.slots)) / el.Seconds()
+// finishes before timing.
+func warmUp(d *driver, dur time.Duration) {
+	d.run(dur, 1, nil)
 }
 
 // endToEnd measures every end-to-end metric on an untraced rig. Each
-// figure but setup_s and live_heap_mb is the median over the window's
-// slices, so that a burst of load from elsewhere on the host moves one
-// slice, not the result.
+// figure but setup_s, live_heap_mb and peak_load is computed over the
+// operations of the quieter half of the window's quarter-second slices
+// (see quietest), pooled, so that time the hypervisor gives to other
+// guests does not reach the result.
 func (b *bench) endToEnd(dur time.Duration) error {
 	d := newDriver(b.w, b.cfg.seed, nil)
 	r, st, err := b.setUp(d, nil, setups)
 	if err != nil {
 		return err
 	}
-	rate := warmUp(d, warmUpFor(dur))
-	d.reserve(rate, dur)
+	warmUp(d, warmUpFor(dur))
+	lg, err := newLatLog()
+	if err != nil {
+		d.unbind()
+		return errors.Join(err, r.close())
+	}
+	defer lg.close()
 	r.cluster.ResetLoadProfile()
 	_, sn0 := r.diskCounters()
 	steal0, total0 := cpuTicks()
-	var win window
-	d.record = true
-	d.run(dur, sliceCount(b.cfg.seconds), func() {
+	var snaps []snap
+	d.lat, d.record = lg, true
+	d.run(dur, sliceCount(dur), func() {
 		sn := takeSnap()
 		sn.at = time.Since(d.base)
-		win.snaps = append(win.snaps, sn)
+		snaps = append(snaps, sn)
 	})
 	d.record = false
 	peak := peakOf(r.cluster.LoadProfile())
@@ -254,46 +281,40 @@ func (b *bench) endToEnd(dur time.Duration) error {
 		fmt.Fprintf(b.log, "compactions per replica in the window: min %d\n", minDelta(sn0, sn1))
 	}
 
-	var all []sample
-	for _, s := range d.slots {
-		all = append(all, s.samples...)
-		s.samples = nil
+	recs, err := lg.sorted()
+	if err != nil {
+		d.unbind()
+		return errors.Join(err, r.close())
 	}
-	ss := win.split(all)
-	durs := make([]time.Duration, 0, len(all))
-	for _, s := range all {
-		if s.end <= win.snaps[win.slices()].at {
-			durs = append(durs, s.dur)
-		}
-	}
-	all = nil
-	slices.Sort(durs)
-	fmt.Fprintf(b.log, "latency over the whole window: n=%d p50=%.4f ms p99=%.4f ms (exact)\n",
-		len(durs), ms(quantile(durs, 0.5)), ms(quantile(durs, 0.99)))
+	ss := split(snaps, recs)
 	for i, s := range ss {
-		fmt.Fprintf(b.log, "slice %d: n=%d ops/s=%.1f p50=%.4f ms p99=%.4f ms cpu=%.2f us/op\n",
-			i, s.ops, s.opsPerS, ms(s.p50), ms(s.p99), us(s.cpuPerOp))
+		f := pool(ss[i : i+1])
+		fmt.Fprintf(b.log, "slice %d: n=%d ops/s=%.1f p50=%.4f ms p99=%.4f ms cpu=%.2f us/op steal=%d\n",
+			i, f.ops, f.opsPerS, ms(f.p50), ms(f.p99), us(f.cpuPerOp), s.steal())
 	}
-	durs = nil
+	quiet := quietest(ss, quietShare)
+	f := pool(quiet)
+	fmt.Fprintf(b.log, "figures from the %d of %d slices with the least steal (%d ticks): n=%d operations (exact quantiles)\n",
+		len(quiet), len(ss), f.steal, f.ops)
 	runtime.GC()
 	runtime.GC()
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 
-	b.metric("ops_per_s", medianOf(ss, func(s sliceStats) float64 { return s.opsPerS }), "ops/s")
-	b.metric("p50_ms", medianOf(ss, func(s sliceStats) float64 { return ms(s.p50) }), "ms")
-	b.metric("p99_ms", medianOf(ss, func(s sliceStats) float64 { return ms(s.p99) }), "ms")
-	b.metric("cpu_us_per_op", medianOf(ss, func(s sliceStats) float64 { return us(s.cpuPerOp) }), "us")
-	b.metric("alloc_bytes_per_op", medianOf(ss, func(s sliceStats) float64 { return s.allocBytes }), "B/op")
-	b.metric("allocs_per_op", medianOf(ss, func(s sliceStats) float64 { return s.mallocs }), "count")
+	b.metric("ops_per_s", f.opsPerS, "ops/s")
+	b.metric("p50_ms", ms(f.p50), "ms")
+	b.metric("p99_ms", ms(f.p99), "ms")
+	b.metric("cpu_us_per_op", us(f.cpuPerOp), "us")
+	b.metric("alloc_bytes_per_op", f.allocBytes, "B/op")
+	b.metric("allocs_per_op", f.mallocs, "count")
 	b.metric("live_heap_mb", float64(mem.HeapAlloc)/(1<<20), "MiB")
 	b.metric("peak_load", peak, "fraction")
-	b.metric("setup_s", median(st.total), "s")
+	b.metric("setup_s", st.quiet(st.total), "s")
 	return b.finish(d, r, peak)
 }
 
-// sliceCount cuts the window into one-second slices (two at least).
-func sliceCount(seconds int) int { return max(seconds, 2) }
+// sliceCount cuts the window into slices of a quarter second.
+func sliceCount(dur time.Duration) int { return max(int(dur/sliceLen), 2) }
 
 // traced measures the per-layer metrics. It runs the workload twice, each
 // time for half the window: once untraced and once with every layer
@@ -335,7 +356,7 @@ func (b *bench) traced(dur time.Duration) error {
 		invokeUS = per(us(sum.invokeTime), float64(sum.invokes))
 	}
 	if b.w.durable {
-		open = median(lc.setup.storeOpen)
+		open = lc.setup.quiet(lc.setup.storeOpen)
 		storeBytes = per(float64(lc.io.wchar), writes)
 	}
 	b.metric("core.pick_us", per(us(sum.pickTime), float64(sum.picks)), "us")
@@ -345,7 +366,7 @@ func (b *bench) traced(dur time.Duration) error {
 	b.metric("sim.probes_per_op", per(float64(lc.probes), ops), "count")
 	b.metric("sim.invoke_us", invokeUS, "us")
 	b.metric("sim.items_per_frame", per(float64(sum.items), float64(sum.frames)), "count")
-	b.metric("sim.cluster_start_s", median(lc.setup.clusterStart), "s")
+	b.metric("sim.cluster_start_s", lc.setup.quiet(lc.setup.clusterStart), "s")
 	b.metric("wire.frame_us", frameUS, "us")
 	b.metric("wire.frames_per_op", framesPerOp, "count")
 	b.metric("wire.write_syscalls_per_op", per(float64(lc.io.syscw), ops), "count")

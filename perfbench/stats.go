@@ -19,6 +19,7 @@ type snap struct {
 	cpu     time.Duration // user + system CPU of the whole process
 	alloc   uint64        // runtime.MemStats.TotalAlloc
 	mallocs uint64        // runtime.MemStats.Mallocs
+	steal   int64         // the machine's stolen CPU time so far, in clock ticks
 }
 
 func takeSnap() snap {
@@ -28,7 +29,9 @@ func takeSnap() snap {
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	steal, _ := cpuTicks()
 	return snap{
+		steal:   steal,
 		cpu:     time.Duration(ru.Utime.Nano() + ru.Stime.Nano()),
 		alloc:   ms.TotalAlloc,
 		mallocs: ms.Mallocs,
@@ -79,15 +82,15 @@ func cpuTicks() (steal, total int64) {
 	return steal, total
 }
 
-// quantile returns the exact q-quantile of sorted durations by the
+// quantile returns the exact q-quantile of sorted latencies by the
 // nearest-rank rule: the smallest value with at least q of the samples at
 // or below it.
-func quantile(sorted []time.Duration, q float64) time.Duration {
+func quantile(sorted []uint32, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
 	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	return sorted[max(0, min(i, len(sorted)-1))]
+	return time.Duration(sorted[max(0, min(i, len(sorted)-1))])
 }
 
 // median returns the median of xs (the mean of the middle two for an even
@@ -104,60 +107,85 @@ func median(xs []float64) float64 {
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
-// window holds what one timed window measured, slice by slice: the
-// counters at its start and at the end of each slice.
-type window struct {
-	snaps []snap
+// slice is one slice of a timed window: the counters at its start and end
+// and the latencies, in ns, of the operations that ended in it.
+type slice struct {
+	a, b snap
+	lat  []uint32
 }
 
-func (w *window) slices() int { return len(w.snaps) - 1 }
+func (s slice) steal() int64 { return s.b.steal - s.a.steal }
 
-// sliceStats is one slice of a timed window.
-type sliceStats struct {
+// split cuts a window's records, sorted by end time, into the slices
+// between consecutive snaps. Records ending after the last snap (the
+// operations allowed to finish after the window) are left out.
+func split(snaps []snap, recs []uint64) []slice {
+	out := make([]slice, 0, len(snaps)-1)
+	lo := 0
+	for i := 1; i < len(snaps); i++ {
+		hi := lo
+		for hi < len(recs) && recEnd(recs[hi]) <= snaps[i].at {
+			hi++
+		}
+		lat := make([]uint32, hi-lo)
+		for k, r := range recs[lo:hi] {
+			lat[k] = recDur(r)
+		}
+		out = append(out, slice{a: snaps[i-1], b: snaps[i], lat: lat})
+		lo = hi
+	}
+	return out
+}
+
+// figures is what a set of slices measured, pooled: every operation of
+// every slice counts once.
+type figures struct {
 	ops                 int
 	opsPerS             float64
 	p50, p99            time.Duration
 	cpuPerOp            time.Duration
 	allocBytes, mallocs float64 // per op
+	steal               int64   // clock ticks the hypervisor gave to other guests
 }
 
-// split assigns the samples to the window's slices by their end time and
-// computes each slice's figures. Samples ending after the window (the
-// operations allowed to finish after it) are left out.
-func (w *window) split(samples []sample) []sliceStats {
-	per := make([][]time.Duration, w.slices())
-	for _, s := range samples {
-		i, _ := slices.BinarySearchFunc(w.snaps, s.end, func(sn snap, t time.Duration) int {
-			return cmp.Compare(sn.at, t)
-		})
-		// snaps[i-1].at < s.end <= snaps[i].at
-		if i >= 1 && i <= len(per) {
-			per[i-1] = append(per[i-1], s.dur)
-		}
+func pool(ss []slice) figures {
+	var (
+		lat  []uint32
+		f    figures
+		span time.Duration
+		cpu  time.Duration
+		a, m uint64
+	)
+	for _, s := range ss {
+		lat = append(lat, s.lat...)
+		span += s.b.at - s.a.at
+		cpu += s.b.cpu - s.a.cpu
+		a += s.b.alloc - s.a.alloc
+		m += s.b.mallocs - s.a.mallocs
+		f.steal += s.steal()
 	}
-	out := make([]sliceStats, len(per))
-	for i, durs := range per {
-		slices.Sort(durs)
-		n := len(durs)
-		a, b := w.snaps[i], w.snaps[i+1]
-		st := sliceStats{ops: n, opsPerS: float64(n) / (b.at - a.at).Seconds(), p50: quantile(durs, 0.5), p99: quantile(durs, 0.99)}
-		if n > 0 {
-			st.cpuPerOp = (b.cpu - a.cpu) / time.Duration(n)
-			st.allocBytes = float64(b.alloc-a.alloc) / float64(n)
-			st.mallocs = float64(b.mallocs-a.mallocs) / float64(n)
-		}
-		out[i] = st
+	slices.Sort(lat)
+	f.ops = len(lat)
+	f.opsPerS = float64(f.ops) / span.Seconds()
+	f.p50, f.p99 = quantile(lat, 0.5), quantile(lat, 0.99)
+	if f.ops > 0 {
+		f.cpuPerOp = cpu / time.Duration(f.ops)
+		f.allocBytes = float64(a) / float64(f.ops)
+		f.mallocs = float64(m) / float64(f.ops)
 	}
-	return out
+	return f
 }
 
-// medianOf returns the median over slices of one figure.
-func medianOf(ss []sliceStats, f func(sliceStats) float64) float64 {
-	xs := make([]float64, len(ss))
-	for i, s := range ss {
-		xs[i] = f(s)
-	}
-	return median(xs)
+// quietest returns the given share of the slices (rounded up) in which
+// the hypervisor stole the least CPU time, earlier slices first among
+// equals. Stolen time lands on whichever operations are running when a
+// virtual CPU is descheduled, so a slice with much of it measures the
+// other guests: on mpath-pick the per-slice p99 followed per-slice steal
+// with a correlation of 0.93.
+func quietest(ss []slice, share float64) []slice {
+	q := slices.Clone(ss)
+	slices.SortStableFunc(q, func(a, b slice) int { return cmp.Compare(a.steal(), b.steal()) })
+	return q[:int(math.Ceil(share*float64(len(q))))]
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

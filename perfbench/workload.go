@@ -33,9 +33,12 @@ type workload struct {
 // falls in the gap between the two and flipped by a third from one slice
 // to the next.
 //
-// durable-write-heavy runs by hand only; BENCHMARK.json leaves it out.
-// Its fsync-bound figures follow the load other guests put on the shared
-// disk, and they spread past every bound between runs minutes apart.
+// mpath-pick and durable-write-heavy run by hand only; BENCHMARK.json
+// leaves them out. durable-write-heavy's fsync-bound figures follow the
+// load other guests put on the shared disk, and they spread past every
+// bound between runs minutes apart. mpath-pick's p99 follows the CPU time
+// the hypervisor steals: its operations are long enough that a few
+// descheduled milliseconds a second reach 1% of them.
 var workloads = []*workload{
 	{name: "mem-byz", keys: 1024, clients: 2, window: 1, readFrac: 0.6, build: buildMemByz},
 	{name: "mpath-pick", keys: 256, clients: 2, window: 1, readFrac: 0.6, build: buildMPathPick},
